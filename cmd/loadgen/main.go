@@ -350,12 +350,14 @@ func postWhatif(client *http.Client, addr string) (time.Duration, int, server.Wh
 	return time.Since(start), resp.StatusCode, out, err
 }
 
-// postRunCompileMs sends one run request and returns its server-side
-// compile time in milliseconds.
+// postRunCompileMs sends one exact run request and returns its server-side
+// compile time in milliseconds. A warm plain exact run would replay the
+// memoized circuit; the generous soft timeout never fires but keeps the
+// request on the compile path, so it pays one full exact compilation.
 func postRunCompileMs(client *http.Client, addr string) (float64, string, error) {
 	data, params := benchWhatifData()
 	body, err := json.Marshal(server.RunRequest{
-		Program: "kmedoids", Data: data, Params: params,
+		Program: "kmedoids", Data: data, Params: params, SoftTimeoutMs: 600_000,
 	})
 	if err != nil {
 		return 0, "", err

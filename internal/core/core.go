@@ -386,18 +386,26 @@ func (a *Artifact) CompileContext(ctx context.Context, opts prob.Options) (*Repo
 	if opts.Order == nil {
 		opts.Order = a.Order(opts.Heuristic)
 	}
-	tm := a.PrepTimings
 	tCompile := time.Now()
 	pr, err := prob.CompileCtx(ctx, a.Net, opts)
-	tm.Compile = time.Since(tCompile)
-	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
 	if err != nil {
 		return nil, fmt.Errorf("core: compile: %w", err)
 	}
+	return a.Report(pr, time.Since(tCompile)), nil
+}
+
+// Report wraps a probability result computed on the artifact's network into
+// a pipeline Report: the preparation timings are the artifact's, and
+// compile is the caller's measured cost of producing pr (a compile, a
+// remote run, or a circuit replay).
+func (a *Artifact) Report(pr *prob.Result, compile time.Duration) *Report {
+	tm := a.PrepTimings
+	tm.Compile = compile
+	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
 	return &Report{
 		Result: pr, Events: a.Events, Net: a.Net, Translation: a.Translation,
 		Ground: a.Ground, Timings: tm,
-	}, nil
+	}
 }
 
 // symbolTable is the part of a translation result target expansion needs;

@@ -20,6 +20,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,8 +165,9 @@ type Server struct {
 	gInflightPeak   *obs.Gauge
 	hLatency        *obs.Histogram
 
-	// Circuit-backend telemetry: cache disposition of /v1/whatif circuit
-	// lookups, size of the most recent circuit, and per-point replay cost.
+	// Circuit-backend telemetry: cache disposition of circuit lookups by
+	// /v1/run and /v1/whatif (circuitFor), size of the most recent circuit,
+	// and per-point what-if replay cost.
 	mCircuitHits   *obs.Counter
 	mCircuitMisses *obs.Counter
 	gCircuitNodes  *obs.Gauge
@@ -529,17 +531,23 @@ type remoteStatus struct {
 	fellBack bool // remote requested but served locally
 }
 
-// execute resolves the artifact through the cache and compiles it with the
-// request's options — in-process, or over the remote worker plane when the
-// request names remote_workers. A coalesced preparation that failed only
-// because the leading request's context expired is retried once under our
-// own context.
-func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, remoteStatus, error) {
+// resolveArtifact returns the request's artifact through the cache. A
+// coalesced preparation that failed only because the leading request's
+// context expired is retried once under our own context.
+func (s *Server) resolveArtifact(ctx context.Context, spec core.Spec, key string) (*core.Artifact, cacheOutcome, error) {
 	prepare := func() (*core.Artifact, error) { return core.PrepareContext(ctx, spec) }
 	art, cache, err := s.cache.getOrPrepare(key, prepare)
 	if err != nil && isCtxError(err) && ctx.Err() == nil {
 		art, cache, err = s.cache.getOrPrepare(key, prepare)
 	}
+	return art, cache, err
+}
+
+// execute resolves the artifact through the cache and compiles it with the
+// request's options — in-process (compileLocal), or over the remote worker
+// plane when the request names remote_workers.
+func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, remoteStatus, error) {
+	art, cache, err := s.resolveArtifact(ctx, spec, key)
 	if err != nil {
 		return nil, cache, remoteStatus{}, err
 	}
@@ -569,12 +577,48 @@ func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req Ru
 		s.mRemoteFallback.Inc()
 	}
 
-	rep, err := art.CompileContext(ctx, opts)
+	rep, err := s.compileLocal(ctx, art, req, opts)
 	if err != nil {
 		return nil, cache, remoteStatus{}, err
 	}
 	remote := remoteStatus{fellBack: len(req.RemoteWorkers) > 0}
 	return rep, cache, remote, nil
+}
+
+// replaysCircuit reports whether a /v1/run request is answered from the
+// artifact's memoized circuit: an exact (or circuit) sequential compile with
+// no soft timeout and no remote workers, whose marginals and work counters
+// the circuit reproduces bit for bit. Every other request compiles.
+func replaysCircuit(req RunRequest, opts prob.Options) bool {
+	return (opts.Strategy == prob.Exact || opts.Strategy == prob.Circuit) &&
+		opts.Workers == 1 && opts.Timeout == 0 && len(req.RemoteWorkers) == 0
+}
+
+// compileLocal computes the request's result in-process. A replayable
+// request looks up the artifact's circuit: a miss traces it (about the cost
+// of the compile it replaces) and memoizes it when complete; a hit replays
+// it at the network's probabilities. Either way the result carries the
+// trace's work counters, and the report's compile time is the lookup plus
+// the replay.
+func (s *Server) compileLocal(ctx context.Context, art *core.Artifact, req RunRequest, opts prob.Options) (*core.Report, error) {
+	if !replaysCircuit(req, opts) {
+		return art.CompileContext(ctx, opts)
+	}
+	t0 := time.Now()
+	span := opts.Obs.Root().Start("circuit")
+	defer span.End()
+	c, traced, cached, err := s.circuitFor(ctx, art, opts.Heuristic, opts.Obs)
+	if err != nil {
+		return nil, err
+	}
+	span.SetInt("nodes", int64(c.Nodes()))
+	span.SetStr("cached", strconv.FormatBool(cached))
+	res, err := prob.EvalCircuit(c, prob.SpaceProbs(art.Net.Space))
+	if err != nil {
+		return nil, err
+	}
+	res.Stats, res.TimedOut = traced.Stats, traced.TimedOut
+	return art.Report(res, time.Since(t0)), nil
 }
 
 // executeRemote ships the compilation to the request's worker set via a
@@ -593,19 +637,14 @@ func (s *Server) executeRemote(ctx context.Context, art *core.Artifact, key stri
 	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
 	s.mRemoteRuns.Inc()
 
-	tm := art.PrepTimings
 	tCompile := time.Now()
 	pr, err := prob.CompileExec(ctx, art.Net, opts, exec)
-	tm.Compile = time.Since(tCompile)
-	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
+	compile := time.Since(tCompile)
 	remote := remoteStatus{used: true, workers: pool.AliveWorkers()}
 	if err != nil {
 		return nil, remote, err
 	}
-	return &core.Report{
-		Result: pr, Events: art.Events, Net: art.Net, Translation: art.Translation,
-		Ground: art.Ground, Timings: tm,
-	}, remote, nil
+	return art.Report(pr, compile), remote, nil
 }
 
 // poolCall is one in-flight pool dial; concurrent poolFor calls for the

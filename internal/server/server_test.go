@@ -322,6 +322,76 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestRunWarmExactReplaysCircuit pins which /v1/run requests are served
+// from the artifact's memoized circuit: a cold exact request traces it
+// (circuit.cache.misses), a warm one replays it (circuit.cache.hits) with
+// identical bounds and work counters, and approximate, multi-worker and
+// soft-timeout requests compile without touching the circuit memo. A
+// request cancelled during the trace memoizes nothing, so the next exact
+// request traces again.
+func TestRunWarmExactReplaysCircuit(t *testing.T) {
+	s := startTestServer(t, Config{})
+	client := &http.Client{Timeout: 60 * time.Second}
+	expect := func(label string, hits, misses int64) {
+		t.Helper()
+		gotHits, gotMisses := counterValue(s, "circuit.cache.hits"), counterValue(s, "circuit.cache.misses")
+		if gotHits != hits || gotMisses != misses {
+			t.Fatalf("%s: circuit cache hits=%d misses=%d, want %d/%d", label, gotHits, gotMisses, hits, misses)
+		}
+	}
+	run := func(label string, req RunRequest) RunResponse {
+		t.Helper()
+		status, rr, raw := postRun(t, client, s.Addr(), req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", label, status, raw)
+		}
+		return rr
+	}
+
+	req := smallRequest(4, 12)
+	cold := run("cold exact", req)
+	expect("cold exact", 0, 1)
+	warm := run("warm exact", req)
+	expect("warm exact", 1, 1)
+	if warm.Cache != "hit" {
+		t.Errorf("warm exact: artifact cache %q, want hit", warm.Cache)
+	}
+	if fmt.Sprint(warm.Targets) != fmt.Sprint(cold.Targets) || warm.Stats != cold.Stats {
+		t.Errorf("warm replay diverged from the cold trace:\ncold %+v %+v\nwarm %+v %+v",
+			cold.Targets, cold.Stats, warm.Targets, warm.Stats)
+	}
+
+	hybrid := req
+	hybrid.Strategy, hybrid.Epsilon = "hybrid", 0.1
+	workers2 := req
+	workers2.Workers = 2
+	soft := req
+	soft.SoftTimeoutMs = 60_000
+	for label, r := range map[string]RunRequest{"hybrid": hybrid, "workers 2": workers2, "soft timeout": soft} {
+		run(label, r)
+		expect(label, 1, 1)
+	}
+
+	// Prepare the heavier artifact up front so a short hard deadline
+	// expires during the circuit trace rather than during preparation.
+	heavy := RunRequest{
+		Program: "kmedoids",
+		Data:    DataSpec{N: 20, Vars: 14, L: 8, Seed: 7},
+		Params:  ParamSpec{K: 2, Iter: 2},
+	}
+	if status, _, raw := postWarm(t, client, s.Addr(), heavy); status != http.StatusOK {
+		t.Fatalf("warm heavy: status %d: %s", status, raw)
+	}
+	canceled := heavy
+	canceled.TimeoutMs = 5
+	if status, _, raw := postRun(t, client, s.Addr(), canceled); status != http.StatusGatewayTimeout {
+		t.Fatalf("canceled trace: status %d, want 504: %s", status, raw)
+	}
+	expect("canceled trace", 1, 1)
+	run("exact after canceled trace", heavy)
+	expect("exact after canceled trace", 1, 2)
+}
+
 func TestDeadlineExceededReturns504WithoutLeaking(t *testing.T) {
 	s := startTestServer(t, Config{MaxInflight: 8})
 	client := &http.Client{}

@@ -73,6 +73,9 @@ type streamRegistry struct {
 	sessions map[string]*streamEntry
 	cap      int
 	idle     time.Duration
+	// now is the idle clock; time.Now unless a test injects its own
+	// (setClock).
+	now func() time.Time
 }
 
 func newStreamRegistry(capacity int, idle time.Duration) *streamRegistry {
@@ -80,19 +83,29 @@ func newStreamRegistry(capacity int, idle time.Duration) *streamRegistry {
 		sessions: map[string]*streamEntry{},
 		cap:      capacity,
 		idle:     idle,
+		now:      time.Now,
 	}
 }
 
-// add registers a session, evicting idle ones if the registry is full.
-// It reports how many sessions were evicted and whether the add succeeded.
+// setClock replaces the idle clock.
+func (r *streamRegistry) setClock(now func() time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.now = now
+}
+
+// add registers a session, marking it used now and evicting idle ones if
+// the registry is full. It reports how many sessions were evicted and
+// whether the add succeeded.
 func (r *streamRegistry) add(id string, e *streamEntry) (evicted int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.sessions[id]; exists {
 		return 0, false
 	}
+	now := r.now()
 	if len(r.sessions) >= r.cap {
-		cutoff := time.Now().Add(-r.idle)
+		cutoff := now.Add(-r.idle)
 		for sid, se := range r.sessions {
 			if se.lastUsed.Before(cutoff) {
 				delete(r.sessions, sid)
@@ -103,6 +116,7 @@ func (r *streamRegistry) add(id string, e *streamEntry) (evicted int, ok bool) {
 	if len(r.sessions) >= r.cap {
 		return evicted, false
 	}
+	e.lastUsed = now
 	r.sessions[id] = e
 	return evicted, true
 }
@@ -113,7 +127,7 @@ func (r *streamRegistry) get(id string) (*streamEntry, bool) {
 	defer r.mu.Unlock()
 	e, ok := r.sessions[id]
 	if ok {
-		e.lastUsed = time.Now()
+		e.lastUsed = r.now()
 	}
 	return e, ok
 }
@@ -270,7 +284,7 @@ func (s *Server) streamCreate(ctx context.Context, w http.ResponseWriter, req St
 	if id == "" {
 		id = newSessionID()
 	}
-	evicted, ok := s.streams.add(id, &streamEntry{s: sess, tenant: tenant, lastUsed: time.Now()})
+	evicted, ok := s.streams.add(id, &streamEntry{s: sess, tenant: tenant})
 	if evicted > 0 {
 		s.mStreamEvicted.Add(int64(evicted))
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,6 +240,11 @@ func TestStreamValidationAndRouting(t *testing.T) {
 
 func TestStreamRegistryCapAndEviction(t *testing.T) {
 	s := startTestServer(t, Config{MaxStreamSessions: 2, StreamIdleTimeout: 50 * time.Millisecond})
+	// The idle clock only moves when the test advances it, so however long
+	// a create takes (e.g. under -race), no session idles out early.
+	base := time.Now()
+	var elapsed atomic.Int64
+	s.streams.setClock(func() time.Time { return base.Add(time.Duration(elapsed.Load())) })
 	client := &http.Client{}
 	mk := func() (int, StreamResponse) {
 		st, resp, _ := postStream(t, client, s.Addr(), StreamRequest{Op: "create", Config: smallStreamConfig()})
@@ -255,7 +261,7 @@ func TestStreamRegistryCapAndEviction(t *testing.T) {
 		t.Fatalf("create at cap: status %d, want 429", st)
 	}
 	// After the idle timeout, creation evicts and succeeds.
-	time.Sleep(60 * time.Millisecond)
+	elapsed.Add(int64(60 * time.Millisecond))
 	if st, _ := mk(); st != http.StatusOK {
 		t.Fatalf("create after idle: %d", st)
 	}

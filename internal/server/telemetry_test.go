@@ -153,6 +153,34 @@ func TestRunTraceOptIn(t *testing.T) {
 		t.Error("trace root has no children")
 	}
 
+	// A warm traced request replays the memoized circuit; the lookup still
+	// shows up as a circuit span.
+	status, warm, raw := postRun(t, client, s.Addr(), req)
+	if status != http.StatusOK || warm.Trace == nil {
+		t.Fatalf("warm traced run: status %d: %s", status, raw)
+	}
+	if len(warm.Trace.Children) == 0 {
+		t.Fatal("warm trace root has no children")
+	}
+	var cached string
+	var nodes int64
+	for _, sp := range warm.Trace.Children {
+		if sp.Name != "circuit" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			switch {
+			case a.Key == "cached" && a.S != nil:
+				cached = *a.S
+			case a.Key == "nodes" && a.I != nil:
+				nodes = *a.I
+			}
+		}
+	}
+	if cached != "true" || nodes <= 0 {
+		t.Errorf("warm trace circuit span: cached=%q nodes=%d, want cached=true and nodes > 0: %s", cached, nodes, raw)
+	}
+
 	status, rr2, _ := postRun(t, client, s.Addr(), smallRequest(2, 12))
 	if status != http.StatusOK {
 		t.Fatalf("untraced run status %d", status)

@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"time"
 
+	"enframe/internal/circuit"
 	"enframe/internal/core"
 	"enframe/internal/event"
+	"enframe/internal/obs"
 	"enframe/internal/prob"
 )
 
@@ -248,28 +250,18 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 // executeWhatif resolves the artifact and its circuit through their caches
 // and replays the grid.
 func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, rreq RunRequest, req WhatifRequest, grid []float64) (*WhatifResponse, cacheOutcome, error) {
-	prepare := func() (*core.Artifact, error) { return core.PrepareContext(ctx, spec) }
-	art, cache, err := s.cache.getOrPrepare(key, prepare)
-	if err != nil && isCtxError(err) && ctx.Err() == nil {
-		art, cache, err = s.cache.getOrPrepare(key, prepare)
-	}
+	art, cache, err := s.resolveArtifact(ctx, spec, key)
 	if err != nil {
 		return nil, cache, err
 	}
 	heuristic, _ := parseOrder(rreq.Order) // validated by BuildSpec
 
 	tTrace := time.Now()
-	c, _, circuitCached, err := art.Circuit(ctx, prob.Options{Heuristic: heuristic})
+	c, _, circuitCached, err := s.circuitFor(ctx, art, heuristic, nil)
 	traceDur := time.Since(tTrace)
 	if err != nil {
 		return nil, cache, err
 	}
-	if circuitCached {
-		s.mCircuitHits.Inc()
-	} else {
-		s.mCircuitMisses.Inc()
-	}
-	s.gCircuitNodes.Set(float64(c.Nodes()))
 	if !c.Complete() {
 		return nil, cache, fmt.Errorf("circuit trace was pruned (timed out or converged early); what-if replay needs a complete circuit")
 	}
@@ -357,4 +349,24 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 	}
 	probs[xv] = base
 	return resp, cache, nil
+}
+
+// circuitFor returns the artifact's memoized circuit for the heuristic,
+// tracing it (under tr, when non-nil) on a miss. traced is the trace's
+// result, whose Stats are the traced walk's work counters; cached reports a
+// memo hit. /v1/run and /v1/whatif both look circuits up here, so the
+// circuit.cache.hits/.misses counters and the circuit.nodes gauge cover
+// both routes.
+func (s *Server) circuitFor(ctx context.Context, art *core.Artifact, h prob.OrderHeuristic, tr *obs.Trace) (c *circuit.Circuit, traced *prob.Result, cached bool, err error) {
+	c, traced, cached, err = art.Circuit(ctx, prob.Options{Heuristic: h, Obs: tr})
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if cached {
+		s.mCircuitHits.Inc()
+	} else {
+		s.mCircuitMisses.Inc()
+	}
+	s.gCircuitNodes.Set(float64(c.Nodes()))
+	return c, traced, cached, nil
 }
