@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"enframe/internal/benchutil"
@@ -304,65 +303,6 @@ func runTraceSmoke(bin string) error {
 	return nil
 }
 
-// simJob is one measured job in the fork DAG.
-type simJob struct {
-	dur      int64
-	children []uint64
-}
-
-// makespan runs an event-driven list scheduler over the measured DAG: a job
-// becomes ready when its parent finishes (its forks are only discovered
-// then), and each ready job starts on the earliest-free of W virtual
-// workers. This is the schedule a W-process pool would follow if every job
-// cost its measured busy time and shipping were free.
-func makespan(jobs map[uint64]simJob, roots []uint64, w int) int64 {
-	type ev struct {
-		at int64
-		id uint64
-	}
-	var queue []ev
-	for _, r := range roots {
-		queue = append(queue, ev{0, r})
-	}
-	free := make([]int64, w)
-	var span int64
-	for len(queue) > 0 {
-		// Earliest-ready first; FIFO among ties keeps the schedule
-		// deterministic.
-		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i].at < queue[best].at {
-				best = i
-			}
-		}
-		e := queue[best]
-		queue = append(queue[:best], queue[best+1:]...)
-		wk := 0
-		for i := 1; i < w; i++ {
-			if free[i] < free[wk] {
-				wk = i
-			}
-		}
-		start := max64(e.at, free[wk])
-		finish := start + jobs[e.id].dur
-		free[wk] = finish
-		if finish > span {
-			span = finish
-		}
-		for _, c := range jobs[e.id].children {
-			queue = append(queue, ev{finish, c})
-		}
-	}
-	return span
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // benchReport is the BENCH_distributed.json shape.
 type benchReport struct {
 	Workload          string             `json:"workload"`
@@ -401,38 +341,31 @@ func runBench(bin, out string) error {
 	defer pool.Close()
 
 	// Record the fork DAG and each job's worker-side busy time.
-	jobs := map[uint64]simJob{}
-	isChild := map[uint64]bool{}
+	jobs := map[uint64]prob.SimJob{}
 	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
 	tRemote := time.Now()
 	_, err = prob.CompileExecObserve(ctx, art.Net, opts, exec,
 		func(j *prob.WireJob, res *prob.WireResult, children []uint64) {
-			jobs[j.ID] = simJob{dur: res.Stats.DurNanos, children: children}
-			for _, c := range children {
-				isChild[c] = true
-			}
+			jobs[j.ID] = prob.SimJob{Dur: time.Duration(res.Stats.DurNanos), Children: children}
 		})
 	if err != nil {
 		return fmt.Errorf("remote measure run: %w", err)
 	}
 	remoteMs := ms(time.Since(tRemote))
 
-	var roots []uint64
-	var total int64
-	for id, j := range jobs {
-		if !isChild[id] {
-			roots = append(roots, id)
-		}
-		total += j.dur
+	var total time.Duration
+	for _, j := range jobs {
+		total += j.Dur
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	roots := []uint64{0} // the coordinator's root job; every other job is forked
+	critical, _ := prob.ListSchedule(jobs, roots, len(jobs))
 
 	rep := benchReport{
 		Workload: fmt.Sprintf("kmedoids n=%d k=2 iter=%d depth=%d scheme=positive vars=10",
 			*nFlag, *iterFlag, *depthFlag),
 		Jobs:              len(jobs),
-		TotalJobMs:        ms(time.Duration(total)),
-		CriticalPathMs:    ms(time.Duration(makespan(jobs, roots, len(jobs)))),
+		TotalJobMs:        ms(total),
+		CriticalPathMs:    ms(critical),
 		VirtualMakespanMs: map[string]float64{},
 		VirtualSpeedup:    map[string]float64{},
 		RealWallClockMs: map[string]float64{
@@ -443,10 +376,10 @@ func runBench(bin, out string) error {
 			"and the measured fork DAG; the CI container is single-CPU, so real multi-process " +
 			"wall clock cannot show scaling and is recorded only for context",
 	}
-	base := makespan(jobs, roots, 1)
+	base, _ := prob.ListSchedule(jobs, roots, 1)
 	for _, w := range []int{1, 2, 4, 8} {
-		m := makespan(jobs, roots, w)
-		rep.VirtualMakespanMs[fmt.Sprint(w)] = ms(time.Duration(m))
+		m, _ := prob.ListSchedule(jobs, roots, w)
+		rep.VirtualMakespanMs[fmt.Sprint(w)] = ms(m)
 		if m > 0 {
 			rep.VirtualSpeedup[fmt.Sprint(w)] = float64(base) / float64(m)
 		}

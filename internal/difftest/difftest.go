@@ -299,8 +299,8 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	}
 
 	// Distributed runner: bounds must equal the sequential exact compile
-	// for every Workers × JobDepth combination, and the hybrid strategy
-	// must keep its ε contract when distributed.
+	// bit for bit for every Workers × JobDepth combination, and the hybrid
+	// strategy must keep its ε contract when distributed.
 	for _, w := range opt.Workers {
 		for _, d := range opt.JobDepths {
 			r, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, Workers: w, JobDepth: d, LegacyCore: opt.LegacyCore})
@@ -371,22 +371,11 @@ func checkApprox(r *prob.Result, stage string, eps float64, truth map[string]flo
 }
 
 // checkBitIdentical asserts two results carry the same bounds down to the
-// last float bit — the cross-core contract of the flat compilation core.
+// last float bit and the same work counters — the cross-core contract of the
+// flat compilation core.
 func checkBitIdentical(got, want *prob.Result, stage string) *Failure {
-	if len(got.Targets) != len(want.Targets) {
-		return &Failure{Stage: stage,
-			Detail: fmt.Sprintf("%d targets, primary core has %d", len(got.Targets), len(want.Targets))}
-	}
-	for i, wt := range want.Targets {
-		gt := got.Targets[i]
-		if gt.Name != wt.Name ||
-			math.Float64bits(gt.Lower) != math.Float64bits(wt.Lower) ||
-			math.Float64bits(gt.Upper) != math.Float64bits(wt.Upper) {
-			return &Failure{Stage: stage,
-				Detail: fmt.Sprintf("%s: [%x, %x] vs primary [%x, %x] — cores diverged",
-					wt.Name, math.Float64bits(gt.Lower), math.Float64bits(gt.Upper),
-					math.Float64bits(wt.Lower), math.Float64bits(wt.Upper))}
-		}
+	if f := checkSame(got, want, stage); f != nil {
+		return f
 	}
 	gs, ws := &got.Stats, &want.Stats
 	if gs.Branches != ws.Branches || gs.Assignments != ws.Assignments ||
@@ -401,21 +390,22 @@ func checkBitIdentical(got, want *prob.Result, stage string) *Failure {
 	return nil
 }
 
-// checkSame asserts two results carry identical bounds target by target.
+// checkSame asserts two results carry the same bounds target by target,
+// down to the last float bit.
 func checkSame(got, want *prob.Result, stage string) *Failure {
 	if len(got.Targets) != len(want.Targets) {
 		return &Failure{Stage: stage,
-			Detail: fmt.Sprintf("%d targets, sequential has %d", len(got.Targets), len(want.Targets))}
+			Detail: fmt.Sprintf("%d targets, reference has %d", len(got.Targets), len(want.Targets))}
 	}
-	for _, wt := range want.Targets {
-		gt, ok := got.Target(wt.Name)
-		if !ok {
-			return &Failure{Stage: stage, Detail: fmt.Sprintf("missing target %q", wt.Name)}
-		}
-		if math.Abs(gt.Lower-wt.Lower) > tol || math.Abs(gt.Upper-wt.Upper) > tol {
+	for i, wt := range want.Targets {
+		gt := got.Targets[i]
+		if gt.Name != wt.Name ||
+			math.Float64bits(gt.Lower) != math.Float64bits(wt.Lower) ||
+			math.Float64bits(gt.Upper) != math.Float64bits(wt.Upper) {
 			return &Failure{Stage: stage,
-				Detail: fmt.Sprintf("%s: got [%.12g, %.12g], sequential [%.12g, %.12g]",
-					wt.Name, gt.Lower, gt.Upper, wt.Lower, wt.Upper)}
+				Detail: fmt.Sprintf("%s: [%x, %x] vs reference %s [%x, %x]",
+					gt.Name, math.Float64bits(gt.Lower), math.Float64bits(gt.Upper),
+					wt.Name, math.Float64bits(wt.Lower), math.Float64bits(wt.Upper))}
 		}
 	}
 	return nil

@@ -217,10 +217,11 @@ func (sig *flatSig) equal(o flatSig) string {
 
 // TestFlatSnapshotRestoreProperty drives full fstates over random networks:
 // for a spread of seeds it asserts that (a) trail undo restores the exact
-// pre-assignment state, and (b) a forkSnap taken mid-branch adopts back to
-// the identical state even after further assignments mutated the live
-// planes — the two restore paths the distributed runner depends on for
-// bit-identical job replay.
+// pre-assignment state, and (b) resetting to the pristine post-init state
+// and replaying the recorded assignment path with recording off reproduces
+// the state that forked, even after further assignments mutated the live
+// planes — the two restore paths Session jobs depend on for bit-identical
+// merges.
 func TestFlatSnapshotRestoreProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		seed := seed
@@ -234,9 +235,13 @@ func TestFlatSnapshotRestoreProperty(t *testing.T) {
 			}
 			opts := Options{Strategy: Exact}.withDefaults()
 			book := newBoundsBook(len(net.Targets), 0)
+			order := computeOrder(net, opts)
 			s := newFstate(net, types, opts, book)
-			s.attachRun(computeOrder(net, opts), time.Time{}, nil, nil)
+			s.attachRun(order, time.Time{}, nil, nil)
 			s.initAll()
+			pristine := newFstate(net, types, opts, book)
+			pristine.attachRun(order, time.Time{}, nil, nil)
+			pristine.initAll()
 
 			base := captureSig(s)
 
@@ -253,37 +258,47 @@ func TestFlatSnapshotRestoreProperty(t *testing.T) {
 				t.Fatalf("undo did not restore init state: %s", d)
 			}
 
-			// (b) fork snapshot round-trip: mutate past the snapshot, adopt
-			// it back, and require the snapshotted signature. Adopting the
-			// same snapshot twice must also be a fixpoint.
-			assignPrefix(s, rng)
-			snap := s.forkSnap()
+			// (b) path replay: fork after a recorded prefix, mutate further,
+			// then reset to the pristine state and replay the path with
+			// recording off, as Session.ExecJob does. Replaying twice must
+			// also be a fixpoint.
+			path := assignPrefix(s, rng)
 			want := captureSig(s)
 			assignPrefix(s, rng)
-			s.adoptSnap(snap)
-			got := captureSig(s)
-			if d := want.equal(got); d != "" {
-				t.Fatalf("adoptSnap did not restore forked state: %s", d)
+			replay := func() flatSig {
+				s.snapshotFrom(pristine)
+				s.setRecording(false)
+				for _, a := range path {
+					s.assign(a.Var, a.Val, 0.5)
+				}
+				s.clearTrail()
+				s.setRecording(true)
+				return captureSig(s)
 			}
-			s.adoptSnap(snap)
-			got2 := captureSig(s)
-			if d := want.equal(got2); d != "" {
-				t.Fatalf("second adoptSnap drifted: %s", d)
+			if d := want.equal(replay()); d != "" {
+				t.Fatalf("path replay did not reproduce the forked state: %s", d)
+			}
+			if d := want.equal(replay()); d != "" {
+				t.Fatalf("second path replay drifted: %s", d)
 			}
 		})
 	}
 }
 
 // assignPrefix pushes a random run of assignments through the walker's own
-// nextVar filter, mirroring how expand drives the core.
-func assignPrefix(s *fstate, rng *rand.Rand) {
+// nextVar filter, mirroring how expand drives the core, and returns them.
+func assignPrefix(s *fstate, rng *rand.Rand) []Assign {
+	var path []Assign
 	oi := 0
 	for steps := 1 + rng.Intn(3); steps > 0; steps-- {
 		ni, x, ok := s.nextVar(oi)
 		if !ok {
-			return
+			return path
 		}
 		oi = ni + 1
-		s.assign(x, rng.Intn(2) == 0, 0.5)
+		a := Assign{Var: x, Val: rng.Intn(2) == 0}
+		s.assign(a.Var, a.Val, 0.5)
+		path = append(path, a)
 	}
+	return path
 }

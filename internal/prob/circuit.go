@@ -73,7 +73,6 @@ func CompileCircuit(ctx context.Context, net *network.Net, opts Options) (*circu
 			case <-ctx.Done():
 				run.canceled.Store(true)
 				run.stop.Store(true)
-				run.interrupt()
 			case <-finished:
 			}
 		}()

@@ -35,7 +35,8 @@ func Order(net *network.Net, h OrderHeuristic) []event.VarID {
 // or its deadline passes, all workers stop at the next branch boundary and
 // CompileCtx returns ctx's error instead of a partial result. This is
 // distinct from Options.Timeout, which returns the partial bounds reached so
-// far with Result.TimedOut set.
+// far with Result.TimedOut set. Workers > 1 runs the job coordinator
+// (CompileExec) over an in-process LocalExecutor.
 func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, error) {
 	if opts.Strategy == Circuit {
 		// The circuit backend traces one exact sequential compilation and
@@ -45,6 +46,9 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 		return res, err
 	}
 	opts = opts.withDefaults()
+	if opts.Workers > 1 {
+		return compileWorkers(ctx, net, opts)
+	}
 	if len(net.Targets) == 0 {
 		return nil, ErrNoTargets
 	}
@@ -62,7 +66,6 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 	if opts.Strategy != Exact {
 		span.SetFloat("eps", opts.Epsilon)
 	}
-	span.SetInt("workers", int64(opts.Workers))
 	span.SetInt("targets", int64(len(net.Targets)))
 	span.SetInt("nodes", int64(net.NumNodes()))
 
@@ -89,7 +92,7 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 		run.deadline = time.Now().Add(opts.Timeout)
 	}
 	// Cancellation watcher: dfs consults run.stop on every branch, so
-	// flipping it aborts all workers promptly. The watcher itself exits
+	// flipping it aborts the walk promptly. The watcher itself exits
 	// when compilation finishes, whichever comes first.
 	if ctx.Done() != nil {
 		finished := make(chan struct{})
@@ -99,21 +102,12 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 			case <-ctx.Done():
 				run.canceled.Store(true)
 				run.stop.Store(true)
-				run.interrupt()
 			case <-finished:
 			}
 		}()
 	}
 	start := time.Now()
-	var stats Stats
-	switch {
-	case opts.Workers > 1 && opts.SimulateWorkers:
-		stats = run.runSimulated()
-	case opts.Workers > 1:
-		stats = run.runDistributed()
-	default:
-		stats = run.runSequential()
-	}
+	stats := run.runSequential()
 	stats.Duration = time.Since(start)
 	stats.NetworkNodes = net.NumNodes()
 	stats.Timings.Order = orderDur
@@ -168,7 +162,8 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 // under tracing; beyond it, points are counted as dropped.
 const budgetTimelineCap = 8192
 
-// runner holds the pieces shared by all workers of one compilation.
+// runner holds the pieces shared by the walkers of one compilation (one
+// sequential walk, or one job of a Session).
 type runner struct {
 	net      *network.Net
 	types    []network.ValueType
@@ -181,17 +176,6 @@ type runner struct {
 	stop     atomic.Bool // set on timeout or external abort
 	timedOut atomic.Bool
 	canceled atomic.Bool // set when the compile context was cancelled
-	// queue is the distributed work queue, published so the cancellation
-	// watcher can wake workers parked on its condition variable.
-	queue atomic.Pointer[workQueue]
-}
-
-// interrupt wakes workers blocked on the distributed work queue so they
-// observe the stop flag promptly instead of sleeping until the queue drains.
-func (r *runner) interrupt() {
-	if q := r.queue.Load(); q != nil {
-		q.interrupt()
-	}
 }
 
 // leaseBudgetBuf hands a walker the backing array for its per-depth budget
@@ -235,27 +219,22 @@ func (r *runner) attach(s compCore) compCore {
 }
 
 // walker runs the depth-first Shannon expansion over one state (either
-// core implementation; see compCore). In distributed mode forkDepth > 0
-// makes it enqueue a continuation job instead of descending past that many
-// local assignments.
+// core implementation; see compCore). In a Session job forkDepth > 0 makes
+// it fork a continuation job instead of descending past that many local
+// assignments.
 type walker struct {
 	state     compCore
 	run       *runner
 	forkDepth int
-	// fork ships the current masks as a new job; it reports false when
-	// the queue is saturated, in which case the walker descends locally.
-	fork func(oi int, p float64, E []float64) bool
-	// localVars counts assignments made since the current job's root.
-	localVars int
+	// fork records a continuation job rooted at the current branch.
+	fork func(oi int, p float64, E []float64)
 	// back is the contiguous backing of the per-depth budget-halving
 	// buffers (Hybrid only), leased from the runner on first use.
 	back []float64
-	// trackPath maintains path — the assignments from this walker's job
-	// root to the current branch — so session executors can ship fork
-	// continuations as replayable assignment paths instead of raw mask
-	// snapshots.
-	trackPath bool
-	path      []Assign
+	// path holds the assignments from the job root to the current branch
+	// (maintained only when forkDepth > 0), so forks ship as replayable
+	// assignment paths.
+	path []Assign
 }
 
 // dfs explores the branch extending the current assignment by x ↦ xval
@@ -294,8 +273,7 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 	mark := s.trailMark()
 	if x >= 0 {
 		s.assign(x, xval, p)
-		w.localVars++
-		if w.trackPath {
+		if w.forkDepth > 0 {
 			w.path = append(w.path, Assign{Var: x, Val: xval})
 		}
 	}
@@ -304,11 +282,9 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 	case s.allSettled():
 		// Every target masked on this branch or globally tight.
 
-	case w.forkDepth > 0 && w.localVars > 0 && w.localVars%w.forkDepth == 0 &&
-		w.fork(oi, p, E):
-		// Distributed fork boundary: the masks and budget travelled with
-		// the job. When the queue is saturated, fork reports false and
-		// the walker keeps descending locally instead.
+	case w.forkDepth > 0 && len(w.path) > 0 && len(w.path)%w.forkDepth == 0:
+		// Distributed fork boundary: the budget travels with the job.
+		w.fork(oi, p, E)
 		if budgeted {
 			for i := range E {
 				E[i] = 0
@@ -346,8 +322,7 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 	}
 
 	if x >= 0 {
-		w.localVars--
-		if w.trackPath {
+		if w.forkDepth > 0 {
 			w.path = w.path[:len(w.path)-1]
 		}
 		s.undoTo(mark)
@@ -419,7 +394,6 @@ func (r *runner) checkDeadline() {
 	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
 		r.timedOut.Store(true)
 		r.stop.Store(true)
-		r.interrupt()
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 
 	"enframe/internal/event"
 	"enframe/internal/network"
-	"enframe/internal/vec"
 )
 
-// compCore abstracts one worker's compilation state so the Shannon-expansion
-// walker and every distributed driver (in-process queue, simulated cluster,
-// session/executor job replay) run unchanged over both implementations:
+// compCore abstracts one walker's compilation state so the Shannon-expansion
+// walker, the circuit tracer and Session job replay run unchanged over both
+// implementations:
 //
 //   - the legacy pointer-DAG state of mask.go, one 56-byte nmask per node
 //     (Options.LegacyCore, kept as the differential oracle), and
@@ -35,7 +34,7 @@ type compCore interface {
 	// to the state at the matching trailMark.
 	trailMark() int
 	undoTo(mark int)
-	// clearTrail drops the trail without undoing (job adoption/replay).
+	// clearTrail drops the trail without undoing (job path replay).
 	clearTrail()
 	// nextVar returns the next influential unassigned variable at or after
 	// order position oi.
@@ -53,20 +52,10 @@ type compCore interface {
 	setRecording(bool)
 	// setOnAdd installs the bound-contribution observer (session executors).
 	setOnAdd(func(ti int, isTrue bool, p float64))
-	// snapshotFrom resets to a pristine post-init state of the same type.
+	// snapshotFrom resets to a pristine post-init state of the same type;
+	// a Session job then replays its assignment path from there.
 	snapshotFrom(pristine compCore)
-	// forkSnap deep-copies the current masks as a shippable job snapshot;
-	// shareSnap hands out the live arrays (only safe for a pristine state
-	// that is never touched again, i.e. the root job).
-	forkSnap() coreSnap
-	shareSnap() coreSnap
-	// adoptSnap installs a snapshot, replacing the current masks.
-	adoptSnap(coreSnap)
 }
-
-// coreSnap is an opaque mask snapshot shipped inside an in-process job;
-// each core adopts only its own snapshot type.
-type coreSnap interface{ snapUnmasked() int }
 
 // newCompCore builds the state implementation selected by opts.
 func newCompCore(net *network.Net, types []network.ValueType, opts Options, bounds *boundsBook) compCore {
@@ -75,17 +64,6 @@ func newCompCore(net *network.Net, types []network.ValueType, opts Options, boun
 	}
 	return newFstate(net, types, opts, bounds)
 }
-
-// stateSnap is the legacy core's job snapshot: the full per-node nmask
-// array plus target bookkeeping.
-type stateSnap struct {
-	masks     []nmask
-	vecVals   []vec.Vec
-	tMasked   []bool
-	nUnmasked int
-}
-
-func (sn *stateSnap) snapUnmasked() int { return sn.nUnmasked }
 
 func (s *state) attachRun(order []event.VarID, deadline time.Time, stop, timed *atomic.Bool) {
 	s.order = order
@@ -100,35 +78,3 @@ func (s *state) st() *Stats                                       { return &s.st
 func (s *state) unmaskedTargets() int                             { return s.nUnmasked }
 func (s *state) setRecording(on bool)                             { s.recording = on }
 func (s *state) setOnAdd(fn func(ti int, isTrue bool, p float64)) { s.onAdd = fn }
-
-func (s *state) forkSnap() coreSnap {
-	sn := &stateSnap{
-		masks:     append([]nmask(nil), s.masks...),
-		tMasked:   append([]bool(nil), s.tMasked...),
-		nUnmasked: s.nUnmasked,
-	}
-	if s.vecVals != nil {
-		sn.vecVals = append([]vec.Vec(nil), s.vecVals...)
-	}
-	return sn
-}
-
-func (s *state) shareSnap() coreSnap {
-	return &stateSnap{
-		masks:     s.masks,
-		vecVals:   s.vecVals,
-		tMasked:   s.tMasked,
-		nUnmasked: s.nUnmasked,
-	}
-}
-
-func (s *state) adoptSnap(c coreSnap) {
-	sn := c.(*stateSnap)
-	s.masks = sn.masks
-	s.tMasked = sn.tMasked
-	if sn.vecVals != nil {
-		s.vecVals = sn.vecVals
-	}
-	s.nUnmasked = sn.nUnmasked
-	s.trail = s.trail[:0]
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"enframe/internal/event"
+	"enframe/internal/obs"
 )
 
 // ErrExecutorUnavailable marks transport-level executor failures: the worker
@@ -117,10 +118,15 @@ type JobExecutor interface {
 	Slots() int
 }
 
-// LocalExecutor runs jobs in-process against a Session.
+// LocalExecutor runs jobs in-process against a Session. Each job borrows
+// one of its slot ids for its duration: the job's span moves to that slot's
+// trace lane, and the slot accounts the job in its WorkerStats.
 type LocalExecutor struct {
-	sess  *Session
-	slots int
+	sess *Session
+	free chan int // idle slot ids; a semaphore of capacity slots
+
+	mu    sync.Mutex
+	stats []WorkerStats
 }
 
 // NewLocalExecutor wraps a session as a JobExecutor with the given
@@ -129,14 +135,46 @@ func NewLocalExecutor(sess *Session, slots int) *LocalExecutor {
 	if slots < 1 {
 		slots = 1
 	}
-	return &LocalExecutor{sess: sess, slots: slots}
+	l := &LocalExecutor{sess: sess, free: make(chan int, slots), stats: make([]WorkerStats, slots)}
+	for i := 0; i < slots; i++ {
+		l.free <- i
+	}
+	return l
 }
 
 func (l *LocalExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
-	return l.sess.ExecJob(ctx, j)
+	var slot int
+	select {
+	case slot = <-l.free:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("prob: job %d: %w", j.ID, ctx.Err())
+	}
+	defer func() { l.free <- slot }()
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		sp.SetTID(slot + 2) // lane 1 is the coordinator's
+		sp.SetInt("worker", int64(slot))
+	}
+	res, err := l.sess.ExecJob(ctx, j)
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	ws := &l.stats[slot]
+	ws.Jobs++
+	ws.Branches += res.Stats.Branches
+	ws.Busy += time.Duration(res.Stats.DurNanos)
+	l.mu.Unlock()
+	return res, nil
 }
 
-func (l *LocalExecutor) Slots() int { return l.slots }
+func (l *LocalExecutor) Slots() int { return cap(l.free) }
+
+// WorkerStats returns each slot's jobs, branches and busy time so far.
+func (l *LocalExecutor) WorkerStats() []WorkerStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]WorkerStats(nil), l.stats...)
+}
 
 // MultiExecutor fans jobs out over several executors, routing each job to
 // the least-loaded live one. An executor that fails with

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"enframe/internal/network"
 	"enframe/internal/obs"
@@ -146,70 +146,61 @@ func TestCompileExecCancel(t *testing.T) {
 	}
 }
 
-// TestWorkQueuePopUnblocksOnStop is the regression test for the satellite
-// fix: a cancelled compilation must wake workers parked on the queue's
-// condition variable instead of leaving them blocked until the queue drains.
-func TestWorkQueuePopUnblocksOnStop(t *testing.T) {
-	var stop atomic.Bool
-	q := newWorkQueue(4, &stop)
-	unblocked := make(chan bool, 1)
-	go func() {
-		_, ok := q.pop()
-		unblocked <- ok
-	}()
-	time.Sleep(10 * time.Millisecond) // let the popper park on cond.Wait
-	stop.Store(true)
-	q.interrupt()
-	select {
-	case ok := <-unblocked:
-		if ok {
-			t.Fatal("pop returned a job after stop")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pop stayed blocked after stop + interrupt")
-	}
+// cancelingExecutor cancels the compilation from inside its first job, so
+// the cancellation provably lands mid-run without a wall-clock sleep.
+type cancelingExecutor struct {
+	inner  JobExecutor
+	cancel context.CancelFunc
+	once   sync.Once
 }
 
-// TestCompileCtxCancelUnblocksDistributed drives the same fix end to end:
-// cancelling the context of a distributed compilation returns promptly.
+func (c *cancelingExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
+	c.once.Do(c.cancel)
+	return c.inner.ExecuteJob(ctx, j)
+}
+
+func (c *cancelingExecutor) Slots() int { return c.inner.Slots() }
+
+// TestCompileCtxCancelUnblocksDistributed: cancelling a multi-worker
+// compilation, mid-run or before it starts, returns context.Canceled rather
+// than hanging or returning a partial result.
 func TestCompileCtxCancelUnblocksDistributed(t *testing.T) {
 	rng := rand.New(rand.NewSource(175))
 	net := randomNet(rng, 14, 4)
+	opts := Options{Strategy: Exact, Workers: 4, JobDepth: 1}
+
+	sess, err := NewSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := CompileCtx(ctx, net, Options{Strategy: Exact, Workers: 4, JobDepth: 1})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("distributed compile hung after cancellation")
+	defer cancel()
+	exec := &cancelingExecutor{inner: NewLocalExecutor(sess, opts.Workers), cancel: cancel}
+	if _, err := CompileExec(ctx, net, opts, exec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel inside the first job: want context.Canceled, got %v", err)
+	}
+
+	pre, cancelPre := context.WithCancel(context.Background())
+	cancelPre()
+	if _, err := CompileCtx(pre, net, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled CompileCtx: want context.Canceled, got %v", err)
 	}
 }
 
-// TestQueueMetrics checks the in-process runner publishes the queue gauge
-// and fork/inline counters added for parity with the remote plane.
+// TestQueueMetrics checks the coordinator publishes the pending-job gauge
+// and counts every forked job.
 func TestQueueMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(176))
 	net := randomNet(rng, 10, 3)
 	tr := obs.New("test")
-	_, err := Compile(net, Options{Strategy: Exact, Workers: 3, JobDepth: 1, Obs: tr})
+	res, err := Compile(net, Options{Strategy: Exact, Workers: 3, JobDepth: 1, Obs: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := tr.Metrics()
-	forked := reg.Counter("prob.jobs.forked").Value()
-	inlined := reg.Counter("prob.jobs.inlined").Value()
-	if forked == 0 {
-		t.Fatalf("prob.jobs.forked = 0, want > 0 (inlined=%d)", inlined)
+	// Every job but the root was forked by another.
+	if forked := reg.Counter("prob.jobs.forked").Value(); forked == 0 || forked != res.Stats.Jobs-1 {
+		t.Fatalf("prob.jobs.forked = %d, want jobs-1 = %d > 0", forked, res.Stats.Jobs-1)
 	}
 	found := false
 	for _, v := range reg.Values() {
@@ -219,5 +210,48 @@ func TestQueueMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("prob.queue.depth gauge not registered")
+	}
+}
+
+// TestWorkersDeterministic: the job driver makes multi-worker exact runs
+// repeatable — work counters as well as marginals, which must equal the
+// sequential run bit for bit.
+func TestWorkersDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(177))
+	for trial := 0; trial < 15; trial++ {
+		net := randomNet(rng, 6+rng.Intn(8), 1+rng.Intn(4))
+		seq, err := Compile(net, Options{Strategy: Exact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 4} {
+			opts := Options{Strategy: Exact, Workers: w, JobDepth: 1}
+			first, err := Compile(net, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 3; rep++ {
+				again, err := Compile(net, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, b := first.Stats, again.Stats
+				if a.Branches != b.Branches || a.Assignments != b.Assignments ||
+					a.MaskUpdates != b.MaskUpdates || a.Jobs != b.Jobs {
+					t.Fatalf("trial %d W=%d: repeat changed counters: branches %d/%d assignments %d/%d mask_updates %d/%d jobs %d/%d",
+						trial, w, a.Branches, b.Branches, a.Assignments, b.Assignments,
+						a.MaskUpdates, b.MaskUpdates, a.Jobs, b.Jobs)
+				}
+			}
+			for i, tb := range first.Targets {
+				want := seq.Targets[i]
+				if math.Float64bits(tb.Lower) != math.Float64bits(want.Lower) ||
+					math.Float64bits(tb.Upper) != math.Float64bits(want.Upper) {
+					t.Fatalf("trial %d W=%d target %s: [%x, %x], sequential [%x, %x]", trial, w, tb.Name,
+						math.Float64bits(tb.Lower), math.Float64bits(tb.Upper),
+						math.Float64bits(want.Lower), math.Float64bits(want.Upper))
+				}
+			}
+		}
 	}
 }

@@ -1062,66 +1062,3 @@ func (s *fstate) snapshotFrom(pristine compCore) {
 	s.nUnmasked = p.nUnmasked
 	s.clearTrail()
 }
-
-// fsnap is the flat core's job snapshot: the packed planes plus the dense
-// abstract records and target bookkeeping. level is the forking state's
-// assignment level: the snapshotted trailedAt values are at most level, so
-// an adopting state raises its own level to at least it, keeping the
-// trail-dedup comparison sound across workers.
-type fsnap struct {
-	decT, decF bitset
-	// open has a bit set for every node not yet decided — the propagation
-	// loop tests it to skip parents whose update would early-return, saving
-	// the call. Maintained by the commit/undo paths in lockstep with the
-	// truth planes and vkf kinds.
-	open      bitset
-	ab        []nabs
-	sums      []sumAgg
-	vecVals   []vec.Vec
-	tMasked   []bool
-	nUnmasked int
-	level     int32
-}
-
-func (sn *fsnap) snapUnmasked() int { return sn.nUnmasked }
-
-func (s *fstate) forkSnap() coreSnap {
-	sn := &fsnap{
-		decT:      s.decT.clone(),
-		decF:      s.decF.clone(),
-		open:      s.open.clone(),
-		ab:        append([]nabs(nil), s.ab...),
-		sums:      append([]sumAgg(nil), s.sums...),
-		tMasked:   append([]bool(nil), s.tMasked...),
-		nUnmasked: s.nUnmasked,
-		level:     s.level,
-	}
-	if s.vecVals != nil {
-		sn.vecVals = append([]vec.Vec(nil), s.vecVals...)
-	}
-	return sn
-}
-
-func (s *fstate) shareSnap() coreSnap {
-	return &fsnap{
-		decT: s.decT, decF: s.decF, open: s.open, ab: s.ab, sums: s.sums,
-		vecVals: s.vecVals, tMasked: s.tMasked, nUnmasked: s.nUnmasked,
-		level: s.level,
-	}
-}
-
-func (s *fstate) adoptSnap(c coreSnap) {
-	sn := c.(*fsnap)
-	s.decT, s.decF = sn.decT, sn.decF
-	s.open = sn.open
-	s.ab, s.sums = sn.ab, sn.sums
-	s.tMasked = sn.tMasked
-	if sn.level > s.level {
-		s.level = sn.level
-	}
-	if sn.vecVals != nil {
-		s.vecVals = sn.vecVals
-	}
-	s.nUnmasked = sn.nUnmasked
-	s.clearTrail()
-}

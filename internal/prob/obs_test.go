@@ -2,6 +2,7 @@ package prob
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -95,12 +96,38 @@ func TestCompileTracedDistributed(t *testing.T) {
 	if branches != st.Branches {
 		t.Errorf("per-worker branches sum %d != total %d", branches, st.Branches)
 	}
-	tree := tr.Tree()
-	if !strings.Contains(tree, "distribute") {
-		t.Errorf("trace tree missing distribute span:\n%s", tree)
+	if !strings.Contains(tr.Tree(), "distribute") {
+		t.Errorf("trace tree missing distribute span:\n%s", tr.Tree())
 	}
-	if got := strings.Count(tree, "─ worker "); got != 4 {
-		t.Errorf("trace tree has %d worker spans, want 4:\n%s", got, tree)
+	// Each job span sits on the Chrome lane of the worker slot that ran it
+	// (tid = slot+2), and the lanes agree with the per-worker accounting.
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			TID  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &chrome); err != nil {
+		t.Fatal(err)
+	}
+	lane := make([]int64, 4)
+	for _, ev := range chrome.TraceEvents {
+		if ev.Name != "job" {
+			continue
+		}
+		if ev.TID < 2 || ev.TID >= 2+len(lane) {
+			t.Fatalf("job span on lane %d, want a worker lane in [2, %d)", ev.TID, 2+len(lane))
+		}
+		lane[ev.TID-2]++
+	}
+	for wi, ws := range st.PerWorker {
+		if lane[wi] != ws.Jobs {
+			t.Errorf("worker %d: %d job spans on its lane, PerWorker says %d jobs", wi, lane[wi], ws.Jobs)
+		}
 	}
 }
 
@@ -118,16 +145,20 @@ func TestCompileTracedSimulated(t *testing.T) {
 	if len(st.PerWorker) != 3 {
 		t.Fatalf("PerWorker has %d entries, want 3", len(st.PerWorker))
 	}
-	var jobs int64
+	var jobs, branches int64
 	var maxBusy int64
 	for _, ws := range st.PerWorker {
 		jobs += ws.Jobs
+		branches += ws.Branches
 		if int64(ws.Busy) > maxBusy {
 			maxBusy = int64(ws.Busy)
 		}
 	}
 	if jobs != st.Jobs {
 		t.Errorf("per-worker jobs sum %d != total %d", jobs, st.Jobs)
+	}
+	if branches != st.Branches {
+		t.Errorf("per-worker branches sum %d != total %d", branches, st.Branches)
 	}
 	// The virtual makespan is at least the busiest worker's busy time.
 	if int64(st.SimulatedMakespan) < maxBusy {

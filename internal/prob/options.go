@@ -75,21 +75,23 @@ type Options struct {
 	// error budget of 2ε and the computed bounds satisfy Ui − Li ≤ 2ε.
 	// Ignored for Exact.
 	Epsilon float64
-	// Workers > 1 enables distributed compilation with that many
-	// concurrent workers.
+	// Workers > 1 enables distributed compilation: depth-d jobs run
+	// through the job coordinator (CompileExec) on an in-process
+	// LocalExecutor with that many concurrent slots.
 	Workers int
 	// JobDepth is the size d of a distributed job: the depth of the
 	// decision-tree fragment a worker explores before forking
 	// continuations. Zero defaults to 3 (the paper's best setting).
 	JobDepth int
-	// SimulateWorkers runs the distributed algorithm on one OS thread and
-	// reports the virtual makespan of a W-worker cluster in
-	// Stats.SimulatedMakespan: jobs execute one at a time with measured
-	// durations and are placed on virtual workers by an event-driven list
-	// scheduler that respects fork precedence. The paper's hybrid-d
-	// timings were likewise "obtained by simulating distributed
-	// computation on a single machine" (§5); this container has a single
-	// CPU, so simulation is also how Fig. 9 is regenerated here.
+	// SimulateWorkers runs the Workers > 1 job coordinator over a one-slot
+	// LocalExecutor, so jobs execute one at a time, and reports the virtual
+	// makespan of a W-worker cluster in Stats.SimulatedMakespan:
+	// ListSchedule places the measured job durations on W virtual workers,
+	// respecting fork precedence. Jobs ship assignment paths, so a job's
+	// duration includes replaying its path. The paper's hybrid-d timings
+	// were likewise "obtained by simulating distributed computation on a
+	// single machine" (§5); simulation is also how Fig. 9 is regenerated
+	// on a machine with fewer CPUs than workers.
 	SimulateWorkers bool
 	// Order overrides the variable order. Variables absent from the
 	// order are never branched on (only safe when they do not occur in
@@ -119,7 +121,7 @@ type Options struct {
 	LegacyCore bool
 	// Obs, when non-nil, receives spans for every compilation stage
 	// (order → init → explore/distribute, plus one span per distributed
-	// worker), work counters in its metrics registry, and — for budgeted
+	// job on its worker's trace lane), work counters in its metrics registry, and — for budgeted
 	// strategies — a bounded "budget.spend" timeline of per-target error
 	// budget consumption. A nil Trace disables all of it at the cost of a
 	// nil check (no allocation; see internal/obs).
@@ -178,7 +180,7 @@ type Stats struct {
 	BudgetPrunes int64
 	// MaskWords is the number of uint64 words per truth-value bit plane of
 	// the flat core (zero under Options.LegacyCore): ⌈nodes/64⌉, the unit of
-	// word-wide snapshot/restore work at distributed fork markers.
+	// word-wide reset work at the start of every distributed job.
 	MaskWords int64
 	// BatchTargets is the number of compilation targets batched through the
 	// single shared expansion pass.
@@ -198,9 +200,9 @@ type Stats struct {
 	// Timings breaks Duration into compilation stages.
 	Timings StageTimings
 	// PerWorker holds per-worker utilisation of a distributed run, indexed
-	// by worker id (nil for sequential runs). For simulated runs, Busy is
-	// virtual busy time on the simulated cluster and Branches is zero (a
-	// single real state explores every virtual job).
+	// by worker id (nil for sequential runs); jobs and branches sum to the
+	// totals. For simulated runs it is the ListSchedule placement of the
+	// measured jobs on the virtual workers.
 	PerWorker []WorkerStats
 }
 
@@ -219,8 +221,8 @@ type WorkerStats struct {
 	// Jobs and Branches count the work the worker performed.
 	Jobs     int64
 	Branches int64
-	// Busy is the time spent executing jobs (as opposed to waiting on the
-	// queue); for simulated workers it is virtual time.
+	// Busy is the time spent executing jobs (as opposed to idle); for
+	// simulated workers it is virtual time.
 	Busy time.Duration
 }
 

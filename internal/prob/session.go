@@ -134,15 +134,14 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 		res.Items = append(res.Items, WireItem{Kind: ItemAdd, Target: int32(ti), IsTrue: isTrue, Mass: mass})
 	})
 	defer s.setOnAdd(nil)
-	w := &walker{state: s, run: r, forkDepth: ss.opts.JobDepth, trackPath: true}
-	w.fork = func(oi int, p float64, E []float64) bool {
+	w := &walker{state: s, run: r, forkDepth: ss.opts.JobDepth}
+	w.fork = func(oi int, p float64, E []float64) {
 		fp := make([]Assign, 0, len(j.Path)+len(w.path))
 		fp = append(append(fp, j.Path...), w.path...)
 		res.Items = append(res.Items, WireItem{Kind: ItemFork, Fork: int32(len(res.Forks))})
 		res.Forks = append(res.Forks, WireFork{
 			Path: fp, OI: oi, P: p, E: append([]float64(nil), E...),
 		})
-		return true
 	}
 
 	E := make([]float64, len(ss.net.Targets))
