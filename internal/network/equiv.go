@@ -1,9 +1,13 @@
 package network
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+
+	"enframe/internal/event"
 )
 
 // Isomorphic reports whether two networks are structurally identical up to
@@ -81,4 +85,46 @@ func canonicalIDs(net *Net, table map[string]NodeID) []NodeID {
 		canon[id] = c
 	}
 	return canon
+}
+
+// appendInternKey appends the byte encoding of a node's canonical form:
+// kind, kind-relevant payload (floats by bit pattern), then kids. It is the
+// Isomorphic oracle's own encoding, kept independent of the builder's
+// intern table so the two can check each other.
+func appendInternKey(buf []byte, n Node) []byte {
+	buf = append(buf, byte(n.Kind))
+	switch n.Kind {
+	case KVar:
+		buf = binary.AppendVarint(buf, int64(n.Var))
+	case KConst:
+		if n.B {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	case KCmp:
+		buf = append(buf, byte(n.Op))
+	case KPow:
+		buf = binary.AppendVarint(buf, int64(n.Exp))
+	case KCondVal:
+		buf = append(buf, byte(n.Val.Kind))
+		switch n.Val.Kind {
+		case event.Scalar:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Val.S))
+		case event.Vector:
+			for _, x := range n.Val.V {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			}
+		case event.Boolean:
+			if n.Val.B {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+		}
+	}
+	for _, k := range n.Kids {
+		buf = binary.AppendVarint(buf, int64(k))
+	}
+	return buf
 }

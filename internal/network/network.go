@@ -6,7 +6,6 @@
 package network
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -164,23 +163,36 @@ func (n *Net) KindCounts() map[string]int64 {
 // Builder constructs a network with structural hash-consing: structurally
 // identical subexpressions become the same node, so the repetitive event
 // programs of data mining tasks stay compact. Construction is the serving
-// layer's cold-request hot path, so the builder is engineered for it:
-// intern keys are built into a reusable scratch buffer (a lookup allocates
-// nothing), commutative ∧/∨ children are canonically sorted before lookup
-// so argument order cannot defeat sharing, and child-id slices are carved
-// out of chunked arenas instead of one allocation per node.
+// layer's cold-request hot path, so the builder is engineered to allocate
+// per page, never per node:
+//
+//   - The intern table is an open-addressing array of node ids (slot id+1,
+//     0 empty) probed linearly by a 64-bit structural hash over kind,
+//     payload and kids. A probe compares the stored node field by field,
+//     floats by their bit patterns, so a lookup builds no key and a miss
+//     stores none. Each node keeps its hash, so the table doubles without
+//     rehashing a node.
+//   - Nodes live in fixed-size pages behind node(id): a growing store never
+//     copies, and a *Node stays valid while later nodes are interned.
+//   - Commutative ∧/∨ children are canonically sorted before lookup so
+//     argument order cannot defeat sharing, and child-id slices are carved
+//     out of chunked arenas.
+//   - Build copies the kept nodes into one exact-size slice; sweep carves
+//     every kept kid list out of one exact-size array and Build every parent
+//     list out of another, each a three-index slice so a caller's append
+//     reallocates instead of overwriting its neighbour.
 type Builder struct {
 	space    *event.Space
 	metric   vec.Distance
-	nodes    []Node
-	interned map[string]NodeID
+	pages    []*nodePage
+	count    int     // nodes created so far; the next node's id
+	table    []int32 // open-addressing intern table: id+1 per slot, 0 empty
 	exprMemo map[event.Expr]NodeID
 	numMemo  map[event.NumExpr]NodeID
 	targets  []Target
 	noFold   bool
-	// keyBuf is the reusable intern-key scratch; scratch the reusable n-ary
-	// flattening buffer; pair backs fixed-arity child lists during lookup.
-	keyBuf  []byte
+	// scratch is the reusable n-ary flattening buffer; pair backs
+	// fixed-arity child lists during lookup.
 	scratch []NodeID
 	pair    [2]NodeID
 	// kidArena is the current chunk child slices are carved from.
@@ -196,6 +208,23 @@ type Builder struct {
 	reg         *obs.Registry
 }
 
+// pageBits sets the node page size: 1,024 nodes, about 120 KB with their
+// hashes.
+const (
+	pageBits = 10
+	pageSize = 1 << pageBits
+)
+
+// nodePage is one fixed-size block of the node store, with each node's
+// structural hash beside it.
+type nodePage struct {
+	nodes [pageSize]Node
+	hash  [pageSize]uint64
+}
+
+// minTableSize is the intern table's initial slot count (a power of two).
+const minTableSize = 256
+
 // NewBuilder returns a builder over the given variable space. A nil metric
 // defaults to Euclidean distance.
 func NewBuilder(space *event.Space, metric vec.Distance) *Builder {
@@ -205,10 +234,20 @@ func NewBuilder(space *event.Space, metric vec.Distance) *Builder {
 	return &Builder{
 		space:    space,
 		metric:   metric,
-		interned: make(map[string]NodeID),
+		table:    make([]int32, minTableSize),
 		exprMemo: make(map[event.Expr]NodeID),
 		numMemo:  make(map[event.NumExpr]NodeID),
 	}
+}
+
+// node returns the stored node with the given id. The pointer stays valid
+// for the builder's lifetime.
+func (b *Builder) node(id NodeID) *Node {
+	return &b.pages[id>>pageBits].nodes[id&(pageSize-1)]
+}
+
+func (b *Builder) nodeHash(id NodeID) uint64 {
+	return b.pages[id>>pageBits].hash[id&(pageSize-1)]
 }
 
 // kidChunkSize is the arena chunk granularity; fan-ins above a quarter chunk
@@ -234,23 +273,133 @@ func (b *Builder) arenaCopy(kids []NodeID) []NodeID {
 
 // intern looks up the node identified by (n's payload, kids), creating it on
 // a miss. kids may alias a scratch buffer: it is only read during the
-// lookup, and copied into the arena when the node is new. The lookup itself
-// allocates nothing — the key is built into a reusable buffer and the map
-// probe uses the compiler's zero-copy string conversion.
+// lookup, and copied into the arena when the node is new. A hit allocates
+// nothing; a miss allocates only when it opens a page or an arena chunk or
+// doubles the table.
 func (b *Builder) intern(n Node, kids []NodeID) NodeID {
 	n.Kids = kids
-	b.keyBuf = appendInternKey(b.keyBuf[:0], n)
+	h := hashNode(&n)
 	b.lookups++
-	if id, ok := b.interned[string(b.keyBuf)]; ok {
-		b.hits++
-		return id
+	mask := len(b.table) - 1
+	i := int(h) & mask
+	for ; b.table[i] != 0; i = (i + 1) & mask {
+		id := NodeID(b.table[i] - 1)
+		if b.nodeHash(id) == h && sameNode(b.node(id), &n) {
+			b.hits++
+			return id
+		}
 	}
 	b.kindCreated[n.Kind]++
 	n.Kids = b.arenaCopy(kids)
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, n)
-	b.interned[string(b.keyBuf)] = id
+	id := NodeID(b.count)
+	if b.count&(pageSize-1) == 0 {
+		b.pages = append(b.pages, new(nodePage))
+	}
+	pg := b.pages[id>>pageBits]
+	pg.nodes[id&(pageSize-1)] = n
+	pg.hash[id&(pageSize-1)] = h
+	b.count++
+	b.table[i] = int32(id) + 1
+	if 2*b.count > len(b.table) {
+		b.growTable()
+	}
 	return id
+}
+
+// growTable doubles the intern table, re-placing every node by its stored
+// hash.
+func (b *Builder) growTable() {
+	table := make([]int32, 2*len(b.table))
+	mask := len(table) - 1
+	for id := 0; id < b.count; id++ {
+		i := int(b.nodeHash(NodeID(id))) & mask
+		for table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		table[i] = int32(id) + 1
+	}
+	b.table = table
+}
+
+// hashMul is the odd multiplier of the structural hash's per-word mix.
+const hashMul = 0x9e3779b97f4a7c15
+
+func hashWord(h, x uint64) uint64 {
+	h = (h ^ x) * hashMul
+	return h ^ h>>32
+}
+
+// hashNode is the structural hash over exactly the fields sameNode compares.
+func hashNode(n *Node) uint64 {
+	h := hashWord(0, uint64(n.Kind)|uint64(len(n.Kids))<<8)
+	switch n.Kind {
+	case KVar:
+		h = hashWord(h, uint64(n.Var))
+	case KConst:
+		h = hashWord(h, b2u(n.B))
+	case KCmp:
+		h = hashWord(h, uint64(n.Op))
+	case KPow:
+		h = hashWord(h, uint64(n.Exp))
+	case KCondVal:
+		h = hashWord(h, uint64(n.Val.Kind))
+		switch n.Val.Kind {
+		case event.Scalar:
+			h = hashWord(h, math.Float64bits(n.Val.S))
+		case event.Vector:
+			h = hashWord(h, uint64(len(n.Val.V)))
+			for _, x := range n.Val.V {
+				h = hashWord(h, math.Float64bits(x))
+			}
+		case event.Boolean:
+			h = hashWord(h, b2u(n.Val.B))
+		}
+	}
+	for _, k := range n.Kids {
+		h = hashWord(h, uint64(uint32(k)))
+	}
+	// Finalise (the murmur3 fmix64 avalanche) so the table's low index bits
+	// depend on every input bit.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// sameNode reports whether two nodes intern to one: the same kind, kids
+// and kind-relevant payload, floats compared by bit pattern (so +0 and −0,
+// or two NaN payloads, stay distinct nodes).
+func sameNode(a, b *Node) bool {
+	if a.Kind != b.Kind || !slices.Equal(a.Kids, b.Kids) {
+		return false
+	}
+	switch a.Kind {
+	case KVar:
+		return a.Var == b.Var
+	case KConst:
+		return a.B == b.B
+	case KCmp:
+		return a.Op == b.Op
+	case KPow:
+		return a.Exp == b.Exp
+	case KCondVal:
+		if a.Val.Kind != b.Val.Kind {
+			return false
+		}
+		switch a.Val.Kind {
+		case event.Scalar:
+			return math.Float64bits(a.Val.S) == math.Float64bits(b.Val.S)
+		case event.Vector:
+			return slices.EqualFunc(a.Val.V, b.Val.V, func(x, y float64) bool {
+				return math.Float64bits(x) == math.Float64bits(y)
+			})
+		case event.Boolean:
+			return a.Val.B == b.Val.B
+		}
+	}
+	return true
 }
 
 // SetObs directs the builder to publish hash-cons and node-kind metrics to
@@ -301,44 +450,6 @@ func (b *Builder) Stats() BuilderStats {
 	return st
 }
 
-func appendInternKey(buf []byte, n Node) []byte {
-	buf = append(buf, byte(n.Kind))
-	switch n.Kind {
-	case KVar:
-		buf = binary.AppendVarint(buf, int64(n.Var))
-	case KConst:
-		if n.B {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	case KCmp:
-		buf = append(buf, byte(n.Op))
-	case KPow:
-		buf = binary.AppendVarint(buf, int64(n.Exp))
-	case KCondVal:
-		buf = append(buf, byte(n.Val.Kind))
-		switch n.Val.Kind {
-		case event.Scalar:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Val.S))
-		case event.Vector:
-			for _, x := range n.Val.V {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-		case event.Boolean:
-			if n.Val.B {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-	}
-	for _, k := range n.Kids {
-		buf = binary.AppendVarint(buf, int64(k))
-	}
-	return buf
-}
-
 // Var returns the leaf node for variable x.
 func (b *Builder) Var(x event.VarID) NodeID {
 	return b.intern(Node{Kind: KVar, Var: x}, nil)
@@ -361,7 +472,7 @@ func (b *Builder) intern2(n Node, l, r NodeID) NodeID {
 
 // Not returns ¬k, simplifying constants and double negation.
 func (b *Builder) Not(k NodeID) NodeID {
-	switch n := b.nodes[k]; n.Kind {
+	switch n := b.node(k); n.Kind {
 	case KConst:
 		return b.Bool(!n.B)
 	case KNot:
@@ -387,7 +498,7 @@ func (b *Builder) nary(kind Kind, ks []NodeID) NodeID {
 	}
 	flat := b.scratch[:0]
 	for _, k := range ks {
-		n := &b.nodes[k]
+		n := b.node(k)
 		if n.Kind == KConst {
 			if n.B == absorbing {
 				b.scratch = flat
@@ -436,11 +547,11 @@ func dedupSorted(xs []NodeID) []NodeID {
 // constOf reports whether a numeric node is a build-time constant of the
 // extended domain (a ⊗ node with a constant guard).
 func (b *Builder) constOf(id NodeID) (event.Value, bool) {
-	n := b.nodes[id]
+	n := b.node(id)
 	if n.Kind != KCondVal {
 		return event.Value{}, false
 	}
-	if g := b.nodes[n.Kids[0]]; g.Kind == KConst {
+	if g := b.node(n.Kids[0]); g.Kind == KConst {
 		if g.B {
 			return n.Val, true
 		}
@@ -475,13 +586,13 @@ func (b *Builder) ConstNum(val event.Value) NodeID { return b.CondVal(b.Bool(tru
 // Guard returns guard ∧ v. When v is itself a conditional constant the
 // guards are merged into a single ⊗ node.
 func (b *Builder) Guard(guard, v NodeID) NodeID {
-	if g := b.nodes[guard]; g.Kind == KConst {
+	if g := b.node(guard); g.Kind == KConst {
 		if g.B {
 			return v
 		}
 		return b.CondVal(b.Bool(false), event.U)
 	}
-	if n := b.nodes[v]; n.Kind == KCondVal {
+	if n := b.node(v); n.Kind == KCondVal {
 		return b.CondVal(b.And(guard, n.Kids[0]), n.Val)
 	}
 	return b.intern2(Node{Kind: KGuard}, guard, v)
@@ -503,7 +614,7 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	// identical between the fused and two-phase front ends.
 	flat := b.scratch[:0]
 	for _, k := range ks {
-		if n := &b.nodes[k]; n.Kind == kind {
+		if n := b.node(k); n.Kind == kind {
 			flat = append(flat, n.Kids...)
 			continue
 		}
@@ -561,7 +672,7 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 }
 
 func (b *Builder) isTrueConst(id NodeID) bool {
-	n := b.nodes[id]
+	n := b.node(id)
 	return n.Kind == KConst && n.B
 }
 
@@ -670,7 +781,7 @@ func (b *Builder) AddNum(x event.NumExpr) NodeID {
 
 // Target registers a compilation target for the given Boolean node.
 func (b *Builder) Target(name string, id NodeID) {
-	if !b.nodes[id].Kind.IsBool() {
+	if !b.node(id).Kind.IsBool() {
 		panic(fmt.Sprintf("network: target %q is not a Boolean node", name))
 	}
 	b.targets = append(b.targets, Target{Name: name, Node: id})
@@ -681,15 +792,14 @@ func (b *Builder) Target(name string, id NodeID) {
 // folding) are swept away; parent lists are materialised. The builder must
 // not be reused afterwards.
 func (b *Builder) Build() *Net {
-	nodes := b.nodes
+	var nodes []Node
 	targets := b.targets
 	if len(targets) > 0 {
 		nodes, targets = b.sweep()
-	}
-	parents := make([][]NodeID, len(nodes))
-	for id, n := range nodes {
-		for _, k := range n.Kids {
-			parents[k] = append(parents[k], NodeID(id))
+	} else {
+		nodes = make([]Node, b.count)
+		for p, pg := range b.pages {
+			copy(nodes[p*pageSize:], pg.nodes[:])
 		}
 	}
 	varNode := make([]NodeID, b.space.Len())
@@ -705,7 +815,7 @@ func (b *Builder) Build() *Net {
 		Space:   b.space,
 		Metric:  b.metric,
 		Nodes:   nodes,
-		Parents: parents,
+		Parents: parentLists(nodes),
 		Targets: targets,
 		VarNode: varNode,
 	}
@@ -725,10 +835,46 @@ func (b *Builder) Build() *Net {
 	return net
 }
 
+// parentLists returns every node's parents in ascending id order, carved
+// out of one counted backing array. A node without parents gets nil.
+func parentLists(nodes []Node) [][]NodeID {
+	end := make([]int32, len(nodes))
+	total := int32(0)
+	for id := range nodes {
+		for _, k := range nodes[id].Kids {
+			end[k]++
+		}
+	}
+	for id, c := range end {
+		total += c
+		end[id] = total
+	}
+	// Fill each list back to front: end[k] falls to its list's start.
+	backing := make([]NodeID, total)
+	for id := len(nodes) - 1; id >= 0; id-- {
+		for _, k := range nodes[id].Kids {
+			end[k]--
+			backing[end[k]] = NodeID(id)
+		}
+	}
+	parents := make([][]NodeID, len(nodes))
+	for id, start := range end {
+		stop := total
+		if id+1 < len(end) {
+			stop = end[id+1]
+		}
+		if stop > start {
+			parents[id] = backing[start:stop:stop]
+		}
+	}
+	return parents
+}
+
 // sweep keeps only the nodes reachable downward from a target, preserving
-// the topological id order.
+// the topological id order. The kept nodes and all their kid lists are
+// copied into two exact-size arrays.
 func (b *Builder) sweep() ([]Node, []Target) {
-	keep := make([]bool, len(b.nodes))
+	keep := make([]bool, b.count)
 	var mark func(id NodeID)
 	stack := make([]NodeID, 0, len(b.targets))
 	mark = func(id NodeID) {
@@ -741,25 +887,31 @@ func (b *Builder) sweep() ([]Node, []Target) {
 	for _, t := range b.targets {
 		mark(t.Node)
 	}
+	live, liveKids := 0, 0
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, k := range b.nodes[id].Kids {
+		kids := b.node(id).Kids
+		live++
+		liveKids += len(kids)
+		for _, k := range kids {
 			mark(k)
 		}
 	}
-	remap := make([]NodeID, len(b.nodes))
-	nodes := make([]Node, 0, len(b.nodes))
-	for id, n := range b.nodes {
+	remap := make([]NodeID, b.count)
+	nodes := make([]Node, 0, live)
+	kidStore := make([]NodeID, 0, liveKids)
+	for id := range remap {
 		if !keep[id] {
 			remap[id] = NoNode
 			continue
 		}
-		kids := make([]NodeID, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = remap[k]
+		n := *b.node(NodeID(id))
+		start := len(kidStore)
+		for _, k := range n.Kids {
+			kidStore = append(kidStore, remap[k])
 		}
-		n.Kids = kids
+		n.Kids = kidStore[start:len(kidStore):len(kidStore)]
 		remap[id] = NodeID(len(nodes))
 		nodes = append(nodes, n)
 	}
@@ -789,7 +941,7 @@ func FromProgram(prog *event.Program, metric vec.Distance, targetNames []string)
 		if !ok {
 			return nil, fmt.Errorf("network: target %q is not declared by the program", name)
 		}
-		if !b.nodes[id].Kind.IsBool() {
+		if !b.node(id).Kind.IsBool() {
 			return nil, fmt.Errorf("network: target %q is not a Boolean event", name)
 		}
 		b.Target(name, id)

@@ -53,7 +53,7 @@ func TestBooleanSimplification(t *testing.T) {
 }
 
 // Build2Node exposes a node for white-box tests.
-func (b *Builder) Build2Node(id NodeID) Node { return b.nodes[id] }
+func (b *Builder) Build2Node(id NodeID) Node { return *b.node(id) }
 
 func TestConstantFolding(t *testing.T) {
 	sp := event.NewSpace()
@@ -105,6 +105,35 @@ func TestSweepRemovesGarbage(t *testing.T) {
 	}
 	if net.Targets[0].Node != 1 {
 		t.Errorf("target remapped to %d", net.Targets[0].Node)
+	}
+}
+
+// TestBuildListsAreCapped: every kid and parent list of a built network,
+// swept or not, is capped at its length, so a caller's append reallocates
+// instead of overwriting the neighbouring list in the shared backing array.
+func TestBuildListsAreCapped(t *testing.T) {
+	for _, sweep := range []bool{false, true} {
+		sp := event.NewSpace()
+		b := NewBuilder(sp, nil)
+		var vs []NodeID
+		for i := 0; i < 4; i++ {
+			vs = append(vs, b.Var(sp.Add(fmt.Sprintf("x%d", i), 0.5)))
+		}
+		b.CondVal(vs[0], event.Num(1)) // dead unless unswept
+		a := b.And(vs[0], vs[1])
+		o := b.Or(a, vs[2], vs[3])
+		if sweep {
+			b.Target("t", b.Not(o))
+		}
+		net := b.Build()
+		for id, n := range net.Nodes {
+			if cap(n.Kids) != len(n.Kids) {
+				t.Errorf("sweep=%t node %d: kids cap %d > len %d", sweep, id, cap(n.Kids), len(n.Kids))
+			}
+			if ps := net.Parents[id]; cap(ps) != len(ps) {
+				t.Errorf("sweep=%t node %d: parents cap %d > len %d", sweep, id, cap(ps), len(ps))
+			}
+		}
 	}
 }
 

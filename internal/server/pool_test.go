@@ -79,8 +79,11 @@ func TestPoolForSingleFlight(t *testing.T) {
 		<-release
 	}
 	defer func() { testHookPoolDial = nil }()
-
 	const n = 8
+	waiting := make(chan struct{}, n)
+	testHookPoolWait = func(string) { waiting <- struct{}{} }
+	defer func() { testHookPoolWait = nil }()
+
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -93,8 +96,10 @@ func TestPoolForSingleFlight(t *testing.T) {
 		}(i)
 	}
 	<-entered
-	// Give the other callers time to reach poolFor and queue as waiters.
-	time.Sleep(100 * time.Millisecond)
+	// Every other caller must join the leader's dial as a waiter.
+	for i := 0; i < n-1; i++ {
+		<-waiting
+	}
 	if got := dials.Load(); got != 1 {
 		t.Fatalf("%d dials in flight, want 1 (single-flight broken)", got)
 	}

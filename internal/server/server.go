@@ -211,6 +211,10 @@ var testHookInflight func()
 // same-set waiters' cancellation.
 var testHookPoolDial func(key string)
 
+// testHookPoolWait, when set by tests, runs when a caller joins another
+// caller's in-flight dial for key, before it waits on that dial.
+var testHookPoolWait func(key string)
+
 // New builds a server; it does not listen yet.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -679,6 +683,9 @@ func (s *Server) poolFor(ctx context.Context, addrs []string) (*dist.Pool, error
 		}
 		if call, ok := s.poolDials[key]; ok {
 			s.poolsMu.Unlock()
+			if testHookPoolWait != nil {
+				testHookPoolWait(key)
+			}
 			select {
 			case <-call.done:
 			case <-ctx.Done():
